@@ -1,7 +1,7 @@
 //! Engine-throughput microbenchmark: events/second through the `dcsim`
 //! scheduler, plus the full-stack cluster hot path.
 //!
-//! Three workloads:
+//! Four workloads:
 //!
 //! * `short_delay` — every event reschedules 0.1–1.1 µs out, the
 //!   steady-state profile of the network substrate (NIC hops, switch
@@ -11,20 +11,21 @@
 //!   top of network events);
 //! * `cluster` — a real fabric: LTL ping-pong sessions whose frames cross
 //!   TOR→L1 (agg) and TOR→L1→L2 (spine) paths, exercising the switch,
-//!   shell and LTL codec hot paths end to end.
+//!   shell and LTL codec hot paths end to end;
+//! * `parallel_cluster` — a denser fabric on the sharded engine, against
+//!   the same build at 1 shard.
 //!
-//! The chain workloads are compared against a verbatim replica of the
-//! `BinaryHeap` engine this repository used before the calendar queue
-//! landed. The cluster workload is compared against the pre-PR baseline
-//! recorded in `crates/bench/data/cluster_baseline.json` (measured on the
-//! commit before the zero-allocation hot-path rework).
+//! Every baseline is measured in the same process: the chain workloads
+//! are compared against a verbatim replica of the `BinaryHeap` engine
+//! this repository used before the calendar queue landed, and the
+//! sharded row against its 1-shard run. The `cluster` row has no
+//! baseline.
 //!
 //! The binary runs under a counting global allocator, so every workload
 //! also reports steady-state heap allocations per event (counted after a
-//! warm-up phase). Results are printed and written to both
-//! `results/BENCH_dcsim.json` and a root-level `BENCH_dcsim.json` with a
-//! stable `{commit, events_per_sec, allocs_per_event, workloads[]}`
-//! schema for per-PR perf tracking.
+//! warm-up phase). Results are printed and written to
+//! `results/BENCH_dcsim.json` with a stable `{commit, events_per_sec,
+//! allocs_per_event, workloads[]}` schema.
 
 use bytes::Bytes;
 use catapult::prelude::*;
@@ -304,58 +305,6 @@ impl Component<Msg> for Pinger {
     }
 }
 
-/// One stage of a modelled RPC service pipeline.
-struct ServiceTick;
-
-/// An RPC handler model: each delivery starts a pipeline of service
-/// ticks (self-events, `tick_gap` apart), and the reply leaves `delay`
-/// after the pipeline drains — the component's declared pacing floor.
-/// The tick chain is what adaptive windows feast on: ticks carry the
-/// pacing excess, so a whole service pipeline merges into one window,
-/// while fixed windows pay a barrier round per lookahead-sized slice.
-struct PacedWorker {
-    shell: ComponentId,
-    conn: SendConnId,
-    payload: Bytes,
-    remaining: u64,
-    delay: SimDuration,
-    steps: u32,
-    tick_gap: SimDuration,
-    left: u32,
-}
-
-impl Component<Msg> for PacedWorker {
-    fn on_message(&mut self, msg: Msg, ctx: &mut Context<'_, Msg>) {
-        let msg = match msg.downcast::<LtlDeliver>() {
-            Ok(_) => {
-                if self.remaining > 0 {
-                    self.remaining -= 1;
-                    self.left = self.steps;
-                    ctx.send_to_self_after(self.tick_gap, Msg::custom(ServiceTick));
-                }
-                return;
-            }
-            Err(other) => other,
-        };
-        if msg.downcast::<ServiceTick>().is_ok() {
-            if self.left > 0 {
-                self.left -= 1;
-                ctx.send_to_self_after(self.tick_gap, Msg::custom(ServiceTick));
-            } else {
-                ctx.send_after(
-                    self.delay,
-                    self.shell,
-                    Msg::custom(ShellCmd::LtlSend {
-                        conn: self.conn,
-                        vc: 0,
-                        payload: self.payload.clone(),
-                    }),
-                );
-            }
-        }
-    }
-}
-
 /// The full-stack cluster workload: LTL ping-pong sessions over a real
 /// fabric, crossing the L1 (agg) and L2 (spine) tiers.
 mod cluster_workload {
@@ -555,128 +504,14 @@ mod parallel_cluster_workload {
     }
 }
 
-/// The bursty sharded workload: paced RPC pairs (a declared 2 µs reply
-/// floor) whose traffic arrives in short bursts separated by idle gaps.
-/// Fixed lookahead-sized windows burn a barrier round every ~100 ns of
-/// burst; adaptive windows stretch across each burst and fast-forward
-/// over the gaps, so the same event stream takes a fraction of the
-/// rounds. Fixed vs adaptive at the same seed is the headline adaptive-
-/// window speedup, and their fingerprints must match byte for byte.
-mod bursty_cluster_workload {
-    use super::*;
-    pub use parallel_cluster_workload::{sum_sync, ParallelRun};
-
-    /// Runs the bursty workload on `shards` shards under `policy`.
-    pub fn run(seed: u64, msgs_per_pair: u64, shards: u32, policy: WindowPolicy) -> ParallelRun {
-        let mut cluster = ClusterBuilder::paper(seed, 2).build();
-        let delay = SimDuration::from_micros(2);
-        // Rack-crossing and pod-crossing paced pairs: every shard owns
-        // traffic, every cut carries frames, and the declared reply floor
-        // keeps the event stream bursty.
-        let pairs = [
-            (NodeAddr::new(0, 0, 1), NodeAddr::new(0, 6, 2)),
-            (NodeAddr::new(0, 3, 3), NodeAddr::new(1, 4, 4)),
-            (NodeAddr::new(1, 1, 5), NodeAddr::new(1, 9, 6)),
-            (NodeAddr::new(1, 7, 7), NodeAddr::new(0, 9, 8)),
-        ];
-        // Single-frame messages: the network burst stays short, so the
-        // run alternates between in-flight frames and in-service tick
-        // pipelines — the profile adaptive windows are built for.
-        let payload = Bytes::from(vec![0x5Au8; 512]);
-        let steps = 32;
-        let tick_gap = SimDuration::from_nanos(100);
-        let mut kicked = 0u32;
-        for &(a, b) in &pairs {
-            let a_shell = cluster.add_shell(a);
-            let b_shell = cluster.add_shell(b);
-            let (a_send, b_send, _, _) = cluster.connect_pair(a, b);
-            let a_pinger = cluster.add_paced_component_at(
-                a,
-                PacedWorker {
-                    shell: a_shell,
-                    conn: a_send,
-                    payload: payload.clone(),
-                    remaining: msgs_per_pair,
-                    delay,
-                    steps,
-                    tick_gap,
-                    left: 0,
-                },
-                delay,
-            );
-            let b_pinger = cluster.add_paced_component_at(
-                b,
-                PacedWorker {
-                    shell: b_shell,
-                    conn: b_send,
-                    payload: payload.clone(),
-                    remaining: msgs_per_pair,
-                    delay,
-                    steps,
-                    tick_gap,
-                    left: 0,
-                },
-                delay,
-            );
-            cluster.set_consumer(a, a_pinger);
-            cluster.set_consumer(b, b_pinger);
-            // Staggered kickoffs desynchronize the pairs: their tick
-            // pipelines interleave instead of sharing window slices.
-            cluster.engine_mut().schedule(
-                SimTime::from_nanos(137 * (1 + kicked as u64)),
-                a_shell,
-                Msg::custom(ShellCmd::LtlSend {
-                    conn: a_send,
-                    vc: 0,
-                    payload: payload.clone(),
-                }),
-            );
-            kicked += 1;
-        }
-        let got = cluster.shard(shards);
-        assert_eq!(got, shards, "20 racks should accommodate {shards} shards");
-        cluster.set_window_policy(policy);
-        cluster.run_for(SimDuration::from_micros(200));
-        let a0 = counted::allocs();
-        let start = Instant::now();
-        let events = cluster.run_to_idle();
-        let elapsed = start.elapsed().as_secs_f64();
-        ParallelRun {
-            shards: got,
-            workers: cluster.effective_workers() as u32,
-            rounds: cluster.sync_rounds(),
-            sync: sum_sync(&cluster.sync_stats()),
-            events,
-            events_per_sec: events as f64 / elapsed,
-            allocs_per_event: (counted::allocs() - a0) as f64 / events.max(1) as f64,
-            fingerprint: cluster.metrics_snapshot().to_json_pretty(),
-        }
-    }
-}
-
-/// Extracts a top-level numeric field from a small JSON document without
-/// a deserializer (the vendored serde stub only serializes).
-fn json_f64_field(text: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\"");
-    let idx = text.find(&pat)?;
-    let rest = text[idx + pat.len()..].trim_start().strip_prefix(':')?;
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// The pre-PR cluster baseline, recorded in-repo when the workload was
-/// introduced (before the zero-allocation hot-path rework).
-fn cluster_baseline(quick: bool) -> Option<(f64, f64)> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/data/cluster_baseline.json");
-    let text = std::fs::read_to_string(path).ok()?;
-    let suffix = if quick { "quick" } else { "full" };
-    Some((
-        json_f64_field(&text, &format!("events_per_sec_{suffix}"))?,
-        json_f64_field(&text, &format!("allocs_per_event_{suffix}"))?,
-    ))
+/// Shard count of the sharded row: `CATAPULT_SHARDS` when it is a
+/// positive integer, else 4.
+fn env_shards() -> u32 {
+    std::env::var("CATAPULT_SHARDS")
+        .ok()
+        .and_then(|s| s.trim().parse().ok())
+        .filter(|&n| n >= 1)
+        .unwrap_or(4)
 }
 
 fn current_commit() -> String {
@@ -707,15 +542,17 @@ struct WorkloadResult {
     windows_fast_forwarded: u64,
     window_extensions: u64,
     cut_events: u64,
-    baseline_events_per_sec: f64,
+    /// Throughput of the row's in-process baseline; `None` when the row
+    /// has none.
+    baseline_events_per_sec: Option<f64>,
     events_per_sec: f64,
-    speedup: f64,
+    speedup: Option<f64>,
     allocs_per_event: f64,
 }
 
 impl WorkloadResult {
     /// A row for a single-threaded workload: no shards, no windows.
-    fn single(workload: &str, baseline: f64, current: f64, speedup: f64, allocs: f64) -> Self {
+    fn single(workload: &str, baseline: Option<f64>, current: f64, allocs: f64) -> Self {
         WorkloadResult {
             workload: workload.to_string(),
             shards: 1,
@@ -727,7 +564,7 @@ impl WorkloadResult {
             cut_events: 0,
             baseline_events_per_sec: baseline,
             events_per_sec: current,
-            speedup,
+            speedup: baseline.map(|b| current / b),
             allocs_per_event: allocs,
         }
     }
@@ -737,7 +574,6 @@ impl WorkloadResult {
         workload: &str,
         run: &parallel_cluster_workload::ParallelRun,
         baseline: f64,
-        speedup: f64,
     ) -> Self {
         WorkloadResult {
             workload: workload.to_string(),
@@ -748,9 +584,9 @@ impl WorkloadResult {
             windows_fast_forwarded: run.sync.windows_fast_forwarded,
             window_extensions: run.sync.window_extensions,
             cut_events: run.sync.cut_events,
-            baseline_events_per_sec: baseline,
+            baseline_events_per_sec: Some(baseline),
             events_per_sec: run.events_per_sec,
-            speedup,
+            speedup: Some(run.events_per_sec / baseline.max(1.0)),
             allocs_per_event: run.allocs_per_event,
         }
     }
@@ -798,9 +634,8 @@ fn main() {
         );
         results.push(WorkloadResult::single(
             workload.name(),
-            heap,
+            Some(heap),
             calendar,
-            speedup,
             allocs_per_event,
         ));
     }
@@ -821,22 +656,10 @@ fn main() {
             cluster = rerun;
         }
     }
-    let (base_eps, base_ape) = cluster_baseline(quick).unwrap_or((0.0, 0.0));
-    let cluster_speedup = if base_eps > 0.0 {
-        cluster.events_per_sec / base_eps
-    } else {
-        0.0
-    };
     println!(
-        "{:<12}  base {:>12.0} ev/s   current  {:>12.0} ev/s   speedup {:.2}x   allocs/ev {:.4}  ({} events)",
-        "cluster", base_eps, cluster.events_per_sec, cluster_speedup, cluster.allocs_per_event, cluster.events,
+        "{:<12}  current {:>12.0} ev/s   allocs/ev {:.4}  ({} events)",
+        "cluster", cluster.events_per_sec, cluster.allocs_per_event, cluster.events,
     );
-    if base_ape > 0.0 {
-        println!(
-            "{:<12}  baseline allocs/ev {:.4} -> current {:.4}",
-            "", base_ape, cluster.allocs_per_event
-        );
-    }
 
     // Determinism proof: the same seed must yield a byte-identical
     // metrics dump from an independent run.
@@ -851,9 +674,8 @@ fn main() {
 
     results.push(WorkloadResult::single(
         "cluster",
-        base_eps,
+        None,
         cluster.events_per_sec,
-        cluster_speedup,
         cluster.allocs_per_event,
     ));
 
@@ -864,10 +686,11 @@ fn main() {
     // the speedup column measures pure execution-mode throughput. The
     // workers are capped at the machine's cores — on a single-core host
     // the sharded run degenerates to a barrier-overhead measurement.
-    let shards = catapult::env_shards().unwrap_or(4);
+    let shards = env_shards();
     parallel_cluster_workload::run(5, msgs_per_pair / 10, shards); // warm-up
-                                                                   // Both sides are best-of-3 — an asymmetric estimator would let one
-                                                                   // interference spike on either side swing the reported ratio.
+
+    // Both sides are best-of-3 — an asymmetric estimator would let one
+    // interference spike on either side swing the reported ratio.
     let mut single = parallel_cluster_workload::run(5, msgs_per_pair, 1);
     let mut multi = parallel_cluster_workload::run(5, msgs_per_pair, shards);
     for _ in 0..2 {
@@ -909,73 +732,7 @@ fn main() {
         "parallel_cluster",
         &multi,
         single.events_per_sec,
-        parallel_speedup,
     ));
-
-    // Bursty sharded workload: fixed vs adaptive windows at the same
-    // seed and shard count. The policy must not change a byte of the
-    // fingerprint (also cross-checked against a 1-shard run); the
-    // speedup column isolates what adaptive window sizing buys on an
-    // idle-heavy event stream. Best-of-3 on both sides.
-    let bursty_msgs = msgs_per_pair / 2;
-    bursty_cluster_workload::run(9, bursty_msgs / 10, shards, WindowPolicy::adaptive()); // warm-up
-    let baseline1 = bursty_cluster_workload::run(9, bursty_msgs, 1, WindowPolicy::fixed());
-    let mut fixed = bursty_cluster_workload::run(9, bursty_msgs, shards, WindowPolicy::fixed());
-    let mut adaptive =
-        bursty_cluster_workload::run(9, bursty_msgs, shards, WindowPolicy::adaptive());
-    for _ in 0..2 {
-        let rerun = bursty_cluster_workload::run(9, bursty_msgs, shards, WindowPolicy::fixed());
-        if rerun.events_per_sec > fixed.events_per_sec {
-            fixed = rerun;
-        }
-        let rerun = bursty_cluster_workload::run(9, bursty_msgs, shards, WindowPolicy::adaptive());
-        if rerun.events_per_sec > adaptive.events_per_sec {
-            adaptive = rerun;
-        }
-    }
-    if fixed.fingerprint != adaptive.fingerprint
-        || baseline1.fingerprint != adaptive.fingerprint
-        || fixed.events != adaptive.events
-    {
-        eprintln!("FAIL: bursty fingerprints diverged across window policies or shard counts");
-        std::process::exit(1);
-    }
-    let bursty_speedup = adaptive.events_per_sec / fixed.events_per_sec.max(1.0);
-    println!(
-        "{:<12}  fixed {:>13.0} ev/s   adaptive {:>12.0} ev/s   speedup {:.2}x   allocs/ev {:.4}  ({} events)",
-        "bursty",
-        fixed.events_per_sec,
-        adaptive.events_per_sec,
-        bursty_speedup,
-        adaptive.allocs_per_event,
-        adaptive.events,
-    );
-    println!(
-        "{:<12}  rounds fixed {} -> adaptive {}   extensions {}   fast-forwards {}   cut events {}",
-        "",
-        fixed.rounds,
-        adaptive.rounds,
-        adaptive.sync.window_extensions,
-        adaptive.sync.windows_fast_forwarded,
-        adaptive.sync.cut_events,
-    );
-    println!(
-        "determinism   bursty fixed/adaptive/{}-shard/1-shard fingerprints byte-identical ok",
-        adaptive.shards
-    );
-    results.push(WorkloadResult::sharded(
-        "parallel_cluster_bursty",
-        &adaptive,
-        fixed.events_per_sec,
-        bursty_speedup,
-    ));
-    if std::env::args().any(|a| a == "--check-win") && bursty_speedup < 1.5 {
-        eprintln!(
-            "FAIL: adaptive windows won only {bursty_speedup:.2}x over fixed on the bursty \
-             workload (gate: 1.5x)"
-        );
-        std::process::exit(1);
-    }
 
     let result = PerfResult {
         commit: current_commit(),
@@ -986,16 +743,4 @@ fn main() {
         workloads: results,
     };
     bench::write_json("BENCH_dcsim", &result);
-    // Root-level copy with the same stable schema, so per-PR perf
-    // tracking can read it straight from the work tree.
-    match serde_json::to_string_pretty(&result) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write("BENCH_dcsim.json", json) {
-                eprintln!("warning: cannot write BENCH_dcsim.json: {e}");
-            } else {
-                eprintln!("wrote BENCH_dcsim.json");
-            }
-        }
-        Err(e) => eprintln!("warning: cannot serialise BENCH_dcsim.json: {e}"),
-    }
 }

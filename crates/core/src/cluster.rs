@@ -5,7 +5,7 @@
 //! experiments need: attaching shells to TORs, opening LTL connection
 //! pairs, registering consumers, and running the clock.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use dcnet::{
     needs_flowsim, Fabric, FabricBuilder, FabricConfig, FabricPartition, Fidelity, FidelityMap,
@@ -18,17 +18,6 @@ use dcsim::{
 use shell::ltl::{RecvConnId, SendConnId};
 use shell::{Shell, ShellConfig, PORT_TOR};
 use telemetry::{MetricsSnapshot, Tracer};
-
-/// Parses the `CATAPULT_SHARDS` environment variable: `Some(n)` for a
-/// positive integer, `None` when unset, empty, zero, or unparsable.
-pub fn env_shards() -> Option<u32> {
-    std::env::var("CATAPULT_SHARDS")
-        .ok()?
-        .trim()
-        .parse()
-        .ok()
-        .filter(|&n| n >= 1)
-}
 
 /// How the cluster's events are being executed.
 enum Exec {
@@ -135,10 +124,6 @@ impl ClusterBuilder {
     /// Builds the engine, fabric, and (for hybrid fidelity maps) the
     /// flow-level background model.
     ///
-    /// An all-packet, non-lazy build registers exactly the same components
-    /// in exactly the same order as the deprecated [`Cluster::new`] path,
-    /// so telemetry fingerprints are byte-identical for the same seed.
-    ///
     /// # Panics
     ///
     /// Panics if the fidelity map does not match the fabric's pod count.
@@ -175,8 +160,7 @@ impl ClusterBuilder {
             flowsim_cfg,
             shells: BTreeMap::new(),
             pins: BTreeMap::new(),
-            consumers: BTreeMap::new(),
-            paced: BTreeMap::new(),
+            consumers: BTreeSet::new(),
             tracer: None,
         }
     }
@@ -198,36 +182,14 @@ pub struct Cluster {
     /// colocate them with that slot's shell (required for zero-delay
     /// consumer deliveries).
     pins: BTreeMap<ComponentId, NodeAddr>,
-    /// LTL consumers per slot, so [`Cluster::shard`] can chain the
-    /// shell's cut excess through the consumer's (deliveries are
-    /// zero-delay, so the consumer bounds the shell).
-    consumers: BTreeMap<NodeAddr, ComponentId>,
-    /// Declared per-component minimum send delays ([`Cluster::
-    /// add_paced_component_at`]): the floor every send toward another
-    /// component promises, enforced at send time under sharded execution
-    /// and credited as cut excess by adaptive windows.
-    paced: BTreeMap<ComponentId, SimDuration>,
+    /// Slots with an LTL consumer: [`Cluster::shard`] gives their shells
+    /// the lookahead as cut excess (deliveries are zero-delay, and a
+    /// consumer's own excess is the lookahead).
+    consumers: BTreeSet<NodeAddr>,
     tracer: Option<Tracer>,
 }
 
 impl Cluster {
-    /// Builds the switching fabric (no hosts yet).
-    #[deprecated(
-        note = "use ClusterBuilder::new(seed).fabric_config(cfg).shell_config(..).build()"
-    )]
-    pub fn new(seed: u64, fabric_cfg: &FabricConfig, shell_cfg: ShellConfig) -> Cluster {
-        ClusterBuilder::new(seed)
-            .fabric_config(fabric_cfg)
-            .shell_config(shell_cfg)
-            .build()
-    }
-
-    /// A paper-calibrated cluster with `pods` production-scale pods.
-    #[deprecated(note = "use ClusterBuilder::paper(seed, pods).build()")]
-    pub fn paper_scale(seed: u64, pods: u16) -> Cluster {
-        ClusterBuilder::paper(seed, pods).build()
-    }
-
     /// Adds a bump-in-the-wire FPGA shell at `addr` and cables it to its
     /// TOR. Returns the shell's component id.
     ///
@@ -281,38 +243,6 @@ impl Cluster {
         let id = engine.add_component(component);
         self.pins.insert(id, addr);
         id
-    }
-
-    /// Pins an already-registered component to the slot at `addr` for
-    /// shard placement (see [`Cluster::add_component_at`]).
-    pub fn pin_component(&mut self, id: ComponentId, addr: NodeAddr) {
-        self.pins.insert(id, addr);
-    }
-
-    /// Like [`Cluster::add_component_at`], additionally declaring that
-    /// the component schedules every event for *other* components at
-    /// least `min_send_delay` in the future (self-sends and timers are
-    /// exempt). Under sharded execution the promise is asserted at send
-    /// time, and adaptive windows credit it as cut excess: while only
-    /// paced components have pending events, windows stretch to the
-    /// declared delay instead of one lookahead. Declare the honest floor
-    /// of the component's reaction time — an overstated floor panics, an
-    /// understated one merely extends windows less.
-    pub fn add_paced_component_at<C: Component<Msg>>(
-        &mut self,
-        addr: NodeAddr,
-        component: C,
-        min_send_delay: SimDuration,
-    ) -> ComponentId {
-        let id = self.add_component_at(addr, component);
-        self.paced.insert(id, min_send_delay);
-        id
-    }
-
-    /// Declares a send-pacing floor for an already-registered component
-    /// (see [`Cluster::add_paced_component_at`]).
-    pub fn declare_send_pacing(&mut self, id: ComponentId, min_send_delay: SimDuration) {
-        self.paced.insert(id, min_send_delay);
     }
 
     /// The shell at `addr`, if populated.
@@ -381,7 +311,7 @@ impl Cluster {
     /// that slot for shard placement (deliveries are zero-delay).
     pub fn set_consumer(&mut self, addr: NodeAddr, consumer: ComponentId) {
         self.pins.insert(consumer, addr);
-        self.consumers.insert(addr, consumer);
+        self.consumers.insert(addr);
         self.shell_mut(addr).set_consumer(consumer);
     }
 
@@ -395,13 +325,11 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics while sharded — use [`Cluster::component_mut`],
-    /// [`Cluster::shard_count`] etc., or [`Cluster::unshard`] first.
+    /// [`Cluster::shard_count`] etc. instead.
     pub fn engine_mut(&mut self) -> &mut Engine<Msg> {
         match &mut self.exec {
             Exec::Single(engine) => engine,
-            Exec::Sharded(_) => {
-                panic!("Cluster::engine_mut is unavailable while sharded; call unshard() first")
-            }
+            Exec::Sharded(_) => panic!("Cluster::engine_mut is unavailable while sharded"),
         }
     }
 
@@ -409,14 +337,11 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics while sharded — use [`Cluster::component`] or
-    /// [`Cluster::unshard`] first.
+    /// Panics while sharded — use [`Cluster::component`] instead.
     pub fn engine(&self) -> &Engine<Msg> {
         match &self.exec {
             Exec::Single(engine) => engine,
-            Exec::Sharded(_) => {
-                panic!("Cluster::engine is unavailable while sharded; call unshard() first")
-            }
+            Exec::Sharded(_) => panic!("Cluster::engine is unavailable while sharded"),
         }
     }
 
@@ -460,12 +385,11 @@ impl Cluster {
         // Components not covered below (registered via engine_mut without
         // a pin, the flow-level model, unmaterialized pods) default to
         // shard 0; a zero-delay send from one of them across shards is
-        // caught at send time as a lookahead violation. Their cut excess
-        // defaults to the universal lookahead floor, and nothing is
-        // pacing-asserted unless declared.
+        // caught at send time as a lookahead violation. Their cut excess,
+        // and that of pinned experiment components, is the universal
+        // lookahead floor.
         let mut shard_of = vec![0u32; ncomp];
         let mut cut_excess = vec![lookahead; ncomp];
-        let mut min_send = vec![SimDuration::ZERO; ncomp];
         let cfg = &self.fabric_cfg;
         for (i, &id) in self.fabric.spine_switches().iter().enumerate() {
             shard_of[id.as_raw()] = partition.spine_shard(i as u16);
@@ -486,25 +410,16 @@ impl Cluster {
         for (&id, &addr) in &self.pins {
             shard_of[id.as_raw()] = partition.endpoint_shard(addr);
         }
-        // Paced components: every send toward another component pays the
-        // declared floor once, the rest of the chain at least the
-        // universal lookahead.
-        for (&id, &delay) in &self.paced {
-            min_send[id.as_raw()] = delay;
-            cut_excess[id.as_raw()] = delay + lookahead;
-        }
         for (&addr, &id) in &self.shells {
             shard_of[id.as_raw()] = partition.endpoint_shard(addr);
             // A shell's chains leave either over its access link (one
             // propagation hop, then the TOR's excess) or as a zero-delay
-            // delivery to its consumer (the consumer's excess, already
-            // final in `cut_excess` because pins precede shells here).
-            let mut excess =
-                partition.endpoint_cut_excess(cfg, addr, self.shell_cfg.tor_link.propagation);
-            if let Some(&consumer) = self.consumers.get(&addr) {
-                excess = excess.min(cut_excess[consumer.as_raw()]);
-            }
-            cut_excess[id.as_raw()] = excess;
+            // delivery to its consumer, whose excess is the lookahead.
+            cut_excess[id.as_raw()] = if self.consumers.contains(&addr) {
+                lookahead
+            } else {
+                partition.endpoint_cut_excess(cfg, addr, self.shell_cfg.tor_link.propagation)
+            };
         }
         if let Some(id) = self.flowsim {
             // The flow model presses spine ports (potentially on other
@@ -514,15 +429,14 @@ impl Cluster {
                 cut_excess[id.as_raw()] = fs_cfg.adapter_delay;
             }
         }
-        let plan = ShardPlan::new(partition.shards(), shard_of, lookahead)
-            .with_cut_excess(cut_excess)
-            .with_min_send_delay(min_send);
+        let plan =
+            ShardPlan::new(partition.shards(), shard_of, lookahead).with_cut_excess(cut_excess);
         self.exec = Exec::Sharded(ShardedEngine::from_engine(engine, plan));
         partition.shards()
     }
 
-    /// Overrides the window policy of the sharded engine (fixed vs
-    /// adaptive, stride cap). Event order — and therefore every telemetry
+    /// Overrides the window policy of the sharded engine (its stride
+    /// cap). Event order — and therefore every telemetry
     /// fingerprint — is policy-independent; only synchronization counts
     /// and wall-clock change.
     ///
@@ -535,14 +449,6 @@ impl Cluster {
             Exec::Single(_) => {
                 panic!("window policies apply to sharded execution; call Cluster::shard first")
             }
-        }
-    }
-
-    /// The window policy in force, when sharded.
-    pub fn window_policy(&self) -> Option<WindowPolicy> {
-        match &self.exec {
-            Exec::Single(_) => None,
-            Exec::Sharded(sharded) => Some(sharded.window_policy()),
         }
     }
 
@@ -568,56 +474,6 @@ impl Cluster {
         match &self.exec {
             Exec::Single(_) => 0,
             Exec::Sharded(sharded) => sharded.rounds(),
-        }
-    }
-
-    /// A registry snapshot of the sharded engine's synchronization
-    /// gauges: `dcsim/shardS/{windows_run, windows_fast_forwarded,
-    /// window_extensions, cut_events}` per shard plus `dcsim/{shards,
-    /// workers, rounds}`. Deliberately separate from
-    /// [`Cluster::metrics_snapshot`]: simulation-content fingerprints are
-    /// byte-identical across shard counts and window policies, while
-    /// these gauges legitimately vary with both.
-    pub fn sync_metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::new(self.now());
-        if let Exec::Sharded(sharded) = &self.exec {
-            let mut v = snap.visitor("dcsim");
-            v.gauge("shards", sharded.shard_count() as f64);
-            v.gauge("workers", sharded.effective_workers() as f64);
-            v.gauge("rounds", sharded.rounds() as f64);
-            for (s, stats) in sharded.sync_stats().iter().enumerate() {
-                let mut v = snap.visitor(&format!("dcsim/shard{s}"));
-                v.gauge("windows_run", stats.windows_run as f64);
-                v.gauge(
-                    "windows_fast_forwarded",
-                    stats.windows_fast_forwarded as f64,
-                );
-                v.gauge("window_extensions", stats.window_extensions as f64);
-                v.gauge("cut_events", stats.cut_events as f64);
-            }
-        }
-        snap
-    }
-
-    /// Reads the `CATAPULT_SHARDS` environment variable and shards the
-    /// cluster accordingly. Unset, empty, unparsable, or `1` leaves the
-    /// classic single-threaded engine in place. Returns the shard count
-    /// in effect.
-    pub fn shard_from_env(&mut self) -> u32 {
-        match env_shards() {
-            Some(n) if n > 1 => self.shard(n),
-            _ => 1,
-        }
-    }
-
-    /// Collapses a sharded cluster back into the classic single engine
-    /// (pending events and component state carry over). No-op when
-    /// already single.
-    pub fn unshard(&mut self) {
-        if let Exec::Sharded(sharded) =
-            std::mem::replace(&mut self.exec, Exec::Single(Engine::new(0)))
-        {
-            self.exec = Exec::Single(sharded.into_engine());
         }
     }
 
@@ -942,33 +798,6 @@ mod tests {
                 "shard count {shards} diverged"
             );
         }
-    }
-
-    #[test]
-    fn unshard_restores_engine_access_and_state() {
-        let mut cluster = ClusterBuilder::paper(3, 1).build();
-        let a = NodeAddr::new(0, 0, 1);
-        let a_id = cluster.add_shell(a);
-        cluster.add_shell(NodeAddr::new(0, 1, 1));
-        let (a_send, _, _, _) = cluster.connect_pair(a, NodeAddr::new(0, 1, 1));
-        cluster.engine_mut().schedule(
-            SimTime::ZERO,
-            a_id,
-            Msg::custom(ShellCmd::LtlSend {
-                conn: a_send,
-                vc: 0,
-                payload: Bytes::from_static(b"x"),
-            }),
-        );
-        cluster.shard(4);
-        assert!(cluster.is_sharded());
-        let ran = cluster.run_for(SimDuration::from_micros(50));
-        assert!(ran > 0);
-        let t = cluster.now();
-        cluster.unshard();
-        assert!(!cluster.is_sharded());
-        assert_eq!(cluster.engine().now(), t);
-        cluster.run_to_idle();
     }
 
     #[test]

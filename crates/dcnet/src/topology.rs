@@ -641,10 +641,9 @@ impl FabricBuilder {
     /// Builds the fabric: spines always, packet-fidelity pods eagerly
     /// unless [`FabricBuilder::lazy`], flow-fidelity pods never.
     ///
-    /// The eager all-packet path registers components in exactly the
-    /// legacy [`Fabric::build`] order (spines, then per pod: aggregation
-    /// switch then TORs), so telemetry fingerprints are byte-identical to
-    /// the deprecated constructor.
+    /// The eager all-packet path registers components in the order the
+    /// pre-builder constructor used (spines, then per pod: aggregation
+    /// switch then TORs), so telemetry fingerprints are unchanged from it.
     ///
     /// # Panics
     ///
@@ -721,12 +720,6 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Builds all switches for `cfg` and cables the tiers together.
-    #[deprecated(note = "use FabricBuilder::from_config(cfg).build(engine)")]
-    pub fn build(engine: &mut Engine<Msg>, cfg: &FabricConfig) -> Fabric {
-        FabricBuilder::from_config(cfg).build(engine)
-    }
-
     /// Registers `pod`'s aggregation switch and TORs (ids in legacy
     /// order: agg first, then TORs ascending). No cabling yet.
     fn register_pod(&mut self, engine: &mut Engine<Msg>, pod: u16) {
@@ -977,17 +970,28 @@ mod tests {
         assert!(!f.is_lazy());
     }
 
+    /// FNV-1a (64-bit) of the fabric's switch-id layout.
+    fn layout_digest(f: &Fabric) -> u64 {
+        let shape = f.shape();
+        let mut layout = format!("{} {:?}", f.switch_count(), f.spine_switches());
+        for pod in 0..shape.pods {
+            let tors: Vec<_> = (0..shape.tors_per_pod)
+                .map(|tor| f.tor_switch(pod, tor))
+                .collect();
+            layout += &format!(" {:?} {:?}", f.agg_switch(pod), tors);
+        }
+        layout.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The builder registers switches exactly as the pre-builder
+    /// constructor did; its layout is pinned as a golden digest.
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_build_matches_builder() {
-        let mut e1: Engine<Msg> = Engine::new(1);
-        let legacy = Fabric::build(&mut e1, &small_cfg());
-        let mut e2: Engine<Msg> = Engine::new(1);
-        let built = FabricBuilder::from_config(&small_cfg()).build(&mut e2);
-        assert_eq!(legacy.switch_count(), built.switch_count());
-        assert_eq!(legacy.tor_switch(1, 2), built.tor_switch(1, 2));
-        assert_eq!(legacy.agg_switch(1), built.agg_switch(1));
-        assert_eq!(legacy.spine_switches(), built.spine_switches());
+    fn eager_build_matches_pre_redesign_layout_digest() {
+        let mut e: Engine<Msg> = Engine::new(1);
+        let built = FabricBuilder::from_config(&small_cfg()).build(&mut e);
+        assert_eq!(layout_digest(&built), 0x0bd7_bf00_b2e6_5b1b);
     }
 
     #[test]

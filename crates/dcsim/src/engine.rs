@@ -186,59 +186,8 @@ impl<'a, M> Context<'a, M> {
     /// and cross-shard sends land in the window outbox rather than the
     /// local queue.
     fn push(&mut self, at: SimTime, dest: ComponentId, kind: EventKind<M>) {
-        if let Some(route) = self.route.as_mut() {
-            let at_ns = at.as_nanos();
-            let key = sharded::source_key(self.id, *self.seq);
-            *self.seq += 1;
-            if dest != self.id {
-                // Declared send pacing: the cut-excess table the adaptive
-                // window end is derived from may rely on this floor, so a
-                // component breaking its promise must fail loudly rather
-                // than silently corrupt the window-safety argument.
-                // Self-sends and timers are exempt — a causal chain still
-                // pays the floor once when it leaves the component.
-                let floor = route.min_send[self.id.as_raw()];
-                assert!(
-                    at_ns >= self.now.as_nanos().saturating_add(floor),
-                    "send-pacing violation: {} declared a minimum send delay \
-                     of {} ns but scheduled an event for {} only {} ns ahead",
-                    self.id,
-                    floor,
-                    dest,
-                    at_ns.saturating_sub(self.now.as_nanos()),
-                );
-            }
-            let dst_shard = route.shard_of[dest.as_raw()];
-            if dst_shard == route.my_shard {
-                route.cut_counts[route.cut_class[dest.as_raw()] as usize] += 1;
-                self.queue.push(at_ns, key, (dest, kind));
-            } else {
-                assert!(
-                    at_ns >= route.window_end,
-                    "lookahead violation: {} scheduled a cross-shard event at {} ns \
-                     inside the window ending at {} ns; the shard plan's lookahead \
-                     overstates the minimum cross-shard delay",
-                    self.id,
-                    at_ns,
-                    route.window_end,
-                );
-                // In-flight minima published at the barrier: the event is
-                // in no queue until the destination drains its mailbox, so
-                // the sender accounts for it in the next round's window
-                // start and cut-ETA reductions.
-                *route.out_min_at = (*route.out_min_at).min(at_ns);
-                *route.out_min_eta =
-                    (*route.out_min_eta).min(at_ns.saturating_add(
-                        route.class_excess[route.cut_class[dest.as_raw()] as usize],
-                    ));
-                *route.remote_sent += 1;
-                route.outboxes[dst_shard as usize].push(RemoteEvent {
-                    at: at_ns,
-                    key,
-                    dest,
-                    kind,
-                });
-            }
+        if self.route.is_some() {
+            self.push_sharded(at.as_nanos(), dest, kind);
             return;
         }
         let key = if self.tie_break_salt == 0 {
@@ -248,6 +197,46 @@ impl<'a, M> Context<'a, M> {
         };
         self.queue.push(at.as_nanos(), key, (dest, kind));
         *self.seq += 1;
+    }
+
+    /// The sharded half of [`Context::push`]. Kept out of line: inlined,
+    /// it enlarges every send site of the single-engine hot path.
+    #[inline(never)]
+    fn push_sharded(&mut self, at_ns: u64, dest: ComponentId, kind: EventKind<M>) {
+        let Some(route) = self.route.as_mut() else {
+            unreachable!("push_sharded outside a shard");
+        };
+        let key = sharded::source_key(self.id, *self.seq);
+        *self.seq += 1;
+        let dst_shard = route.shard_of[dest.as_raw()];
+        if dst_shard == route.my_shard {
+            route.cut_counts[route.cut_class[dest.as_raw()] as usize] += 1;
+            self.queue.push(at_ns, key, (dest, kind));
+            return;
+        }
+        assert!(
+            at_ns >= route.window_end,
+            "lookahead violation: {} scheduled a cross-shard event at {} ns \
+             inside the window ending at {} ns; the shard plan's lookahead \
+             overstates the minimum cross-shard delay",
+            self.id,
+            at_ns,
+            route.window_end,
+        );
+        // In-flight minima published at the barrier: the event is in no
+        // queue until the destination drains its mailbox, so the sender
+        // accounts for it in the next round's window start and cut-ETA
+        // reductions.
+        *route.out_min_at = (*route.out_min_at).min(at_ns);
+        *route.out_min_eta = (*route.out_min_eta)
+            .min(at_ns.saturating_add(route.class_excess[route.cut_class[dest.as_raw()] as usize]));
+        *route.remote_sent += 1;
+        route.outboxes[dst_shard as usize].push(RemoteEvent {
+            at: at_ns,
+            key,
+            dest,
+            kind,
+        });
     }
 
     /// The simulation-wide deterministic random number generator.
@@ -304,13 +293,11 @@ pub struct Engine<M> {
     tie_break_salt: u64,
 }
 
-/// A dismantled [`Engine`]: everything needed to rebuild it, or to deal
-/// its components and pending events out to the shards of a
-/// [`crate::ShardedEngine`].
+/// A dismantled [`Engine`]: what a [`crate::ShardedEngine`] deals out to
+/// its shards.
 pub(crate) struct EngineParts<M> {
     pub now: SimTime,
     pub seed: u64,
-    pub rng: SimRng,
     pub components: Vec<Option<Box<dyn Component<M>>>>,
     /// Pending events in exact pop order (`(time, key)`-sorted).
     pub pending: Vec<(u64, ComponentId, EventKind<M>)>,
@@ -370,7 +357,6 @@ impl<M: 'static> Engine<M> {
         EngineParts {
             now: self.now,
             seed: self.seed,
-            rng: self.rng,
             components: self.components,
             pending,
             events_processed: self.events_processed,
@@ -378,28 +364,6 @@ impl<M: 'static> Engine<M> {
             observer: self.observer,
             tie_break_salt: self.tie_break_salt,
         }
-    }
-
-    /// Rebuilds an engine from parts; `pending` must already be in the
-    /// intended pop order (it is re-keyed FIFO).
-    pub(crate) fn from_parts(parts: EngineParts<M>) -> Engine<M> {
-        let mut engine = Engine {
-            now: parts.now,
-            seq: 0,
-            queue: CalendarQueue::new(),
-            components: parts.components,
-            rng: parts.rng,
-            seed: parts.seed,
-            stopped: parts.stopped,
-            events_processed: parts.events_processed,
-            observer: parts.observer,
-            tie_break_salt: parts.tie_break_salt,
-        };
-        for (at, dest, kind) in parts.pending {
-            engine.queue.push(at, engine.seq, (dest, kind));
-            engine.seq += 1;
-        }
-        engine
     }
 
     /// Registers a component and returns its id. Ids are assigned in

@@ -14,10 +14,10 @@
 //!    `T` is the global minimum next-event time (jumping straight over
 //!    idle gaps), and `E` is `T + lookahead` stretched up to the global
 //!    cut ETA when every shard's near-cut activity is quiescent;
-//! 3. each shard drains its mailbox, processes local events in `[T, E)`,
-//!    flushes cross-shard sends into per-destination mailboxes, and
-//!    publishes the next round's values before arriving at the barrier
-//!    again. One barrier per window, not two.
+//! 3. each shard drains the mail flushed to it last round, processes
+//!    local events in `[T, E)`, flushes cross-shard sends into the other
+//!    parity's mailboxes, and publishes the next round's values before
+//!    arriving at the barrier again. One barrier per window, not two.
 //!
 //! # Window safety
 //!
@@ -86,10 +86,12 @@
 //! a 1-worker run degenerates to a plain sequential loop.
 
 use std::any::Any;
+use std::cell::Cell;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
-use crate::engine::{Component, ComponentId, Context, Engine, EngineParts, EventKind};
+use crate::engine::{Component, ComponentId, Context, Engine, EventKind};
 use crate::queue::CalendarQueue;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -120,56 +122,28 @@ fn component_seed(engine_seed: u64, id: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// How the window loop chooses window ends.
+/// How the window loop chooses window ends. Whatever the policy, the
+/// processed event order is identical; only the window count changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowPolicy {
-    /// Stretch windows to the published cut ETA when near-cut activity is
-    /// quiescent, and count idle fast-forwards. Off: every window is
-    /// exactly one lookahead (the PR-6 protocol on the single-barrier
-    /// loop). Either way the processed event order is identical.
-    pub adaptive: bool,
-    /// Upper bound on the window length, in lookahead multiples. Keeps a
-    /// huge excess claim (e.g. a fully shard-local phase) from running one
-    /// shard arbitrarily far ahead of a `stop()` or an external observer.
+    /// Upper bound on the window length, in lookahead multiples. Windows
+    /// stretch to the published cut ETA when near-cut activity is
+    /// quiescent, up to this cap; a cap of 1 gives exactly one lookahead
+    /// per window. The cap keeps a huge excess claim (e.g. a fully
+    /// shard-local phase) from running one shard arbitrarily far ahead of
+    /// a `stop()` or an external observer.
     pub stride_cap: u32,
 }
 
 impl WindowPolicy {
     /// Fixed lookahead-sized windows.
     pub fn fixed() -> WindowPolicy {
-        WindowPolicy {
-            adaptive: false,
-            stride_cap: 1,
-        }
+        WindowPolicy { stride_cap: 1 }
     }
 
     /// Adaptive windows with the default stride cap.
     pub fn adaptive() -> WindowPolicy {
-        WindowPolicy {
-            adaptive: true,
-            stride_cap: 16,
-        }
-    }
-
-    /// Policy from the environment: `CATAPULT_ADAPTIVE_WINDOWS=0|false|off`
-    /// selects fixed windows (default: adaptive), and
-    /// `CATAPULT_WINDOW_STRIDE=k` overrides the stride cap.
-    pub fn from_env() -> WindowPolicy {
-        let adaptive = !matches!(
-            std::env::var("CATAPULT_ADAPTIVE_WINDOWS").as_deref(),
-            Ok("0") | Ok("false") | Ok("off")
-        );
-        let mut policy = if adaptive {
-            WindowPolicy::adaptive()
-        } else {
-            WindowPolicy::fixed()
-        };
-        if let Ok(s) = std::env::var("CATAPULT_WINDOW_STRIDE") {
-            if let Ok(k) = s.trim().parse::<u32>() {
-                policy.stride_cap = k.max(1);
-            }
-        }
-        policy
+        WindowPolicy { stride_cap: 16 }
     }
 }
 
@@ -219,10 +193,6 @@ pub(crate) struct ShardRoute<'a, M> {
     pub cut_class: &'a [u16],
     /// Excess value (ns) of every class.
     pub class_excess: &'a [u64],
-    /// Declared per-component minimum send delay (ns) toward *other*
-    /// components; the excess table is only sound if these hold, so they
-    /// are asserted per send.
-    pub min_send: &'a [u64],
     /// Queued events per cut-excess class on this shard.
     pub cut_counts: &'a mut [u64],
     /// Minimum `at` over remote events pushed this window.
@@ -235,7 +205,7 @@ pub(crate) struct ShardRoute<'a, M> {
 
 /// Assignment of every component to a shard, plus the conservative
 /// lookahead the partition guarantees — and, optionally, the per-component
-/// cut-excess and send-pacing tables adaptive windows are derived from.
+/// cut-excess table adaptive windows are derived from.
 ///
 /// Build one from a topology helper (e.g. `dcnet`'s fabric partitioner)
 /// or by hand for custom component graphs. Validity contract: any event
@@ -250,9 +220,6 @@ pub struct ShardPlan {
     /// Per-component cut excess (ns); empty means `lookahead` everywhere
     /// (adaptive mode degenerates to fixed windows).
     cut_excess: Vec<u64>,
-    /// Per-component minimum send delay toward other components (ns);
-    /// empty means no pacing is declared.
-    min_send: Vec<u64>,
 }
 
 impl ShardPlan {
@@ -277,13 +244,7 @@ impl ShardPlan {
             shard_of,
             lookahead,
             cut_excess: Vec::new(),
-            min_send: Vec::new(),
         }
-    }
-
-    /// The trivial single-shard plan over `components` components.
-    pub fn single(components: usize) -> ShardPlan {
-        ShardPlan::new(1, vec![0; components], SimDuration::MAX)
     }
 
     /// Attaches a per-component cut-excess table: `excess[c]` must lower-
@@ -316,28 +277,6 @@ impl ShardPlan {
         self
     }
 
-    /// Declares per-component minimum send delays: component `c` promises
-    /// every event it schedules for *another* component to be at least
-    /// `floor[c]` in the future (self-sends and timers are exempt — a
-    /// chain that leaves the component still pays the floor once). The
-    /// engine asserts the promise at send time; cut-excess tables may
-    /// rely on it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table length disagrees with the plan.
-    pub fn with_min_send_delay(mut self, floor: Vec<SimDuration>) -> ShardPlan {
-        assert_eq!(
-            floor.len(),
-            self.shard_of.len(),
-            "min-send table covers {} components but the plan has {}",
-            floor.len(),
-            self.shard_of.len(),
-        );
-        self.min_send = floor.iter().map(|f| f.as_nanos()).collect();
-        self
-    }
-
     /// Number of shards.
     pub fn shards(&self) -> u32 {
         self.shards
@@ -354,13 +293,12 @@ impl ShardPlan {
     }
 }
 
-/// The plan's per-component tables in dispatch-ready form: components
+/// The plan's cut-excess table in dispatch-ready form: components
 /// bucketed into excess classes (one queued-event counter per class is
-/// cheaper than a per-event priority structure) plus the pacing floors.
+/// cheaper than a per-event priority structure).
 struct PlanTables {
     cut_class: Vec<u16>,
     class_excess: Vec<u64>,
-    min_send: Vec<u64>,
 }
 
 impl PlanTables {
@@ -382,15 +320,9 @@ impl PlanTables {
                 distinct,
             )
         };
-        let min_send = if plan.min_send.is_empty() {
-            vec![0u64; ncomp]
-        } else {
-            plan.min_send.clone()
-        };
         PlanTables {
             cut_class,
             class_excess,
-            min_send,
         }
     }
 }
@@ -523,7 +455,6 @@ impl<M: 'static> Shard<M> {
                     outboxes,
                     cut_class: &tables.cut_class,
                     class_excess: &tables.class_excess,
-                    min_send: &tables.min_send,
                     cut_counts,
                     out_min_at,
                     out_min_eta,
@@ -548,8 +479,9 @@ impl<M: 'static> Shard<M> {
         }
     }
 
-    /// Publishes this shard's outboxes into the mailbox row `me`, swapping
-    /// buffers so capacity circulates instead of being reallocated.
+    /// Publishes this shard's outboxes into the mailbox row `me` of one
+    /// parity's mailboxes, swapping buffers so capacity circulates instead
+    /// of being reallocated.
     fn flush_outboxes(&mut self, me: usize, nshards: usize, mail: &[Mutex<Vec<RemoteEvent<M>>>]) {
         for (dst, outbox) in self.outboxes.iter_mut().enumerate() {
             if outbox.is_empty() {
@@ -564,7 +496,8 @@ impl<M: 'static> Shard<M> {
         }
     }
 
-    /// Drains every mailbox addressed to shard `me` into the local queue.
+    /// Drains every mailbox of one parity addressed to shard `me` into the
+    /// local queue.
     fn drain_mail(
         &mut self,
         me: usize,
@@ -586,10 +519,15 @@ impl<M: 'static> Shard<M> {
 /// threads through a mutex/condvar pair — microseconds per crossing —
 /// which would dwarf the sub-microsecond windows conservative lookahead
 /// produces; this one stays in userspace while peers are close behind.
+///
+/// A worker that panics never arrives, so it [`SpinBarrier::abort`]s the
+/// barrier instead: every waiter then gives up rather than spinning
+/// forever on a peer that is gone.
 struct SpinBarrier {
     n: usize,
     arrived: AtomicUsize,
     generation: AtomicUsize,
+    aborted: AtomicBool,
 }
 
 impl SpinBarrier {
@@ -598,12 +536,15 @@ impl SpinBarrier {
             n,
             arrived: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
+            aborted: AtomicBool::new(false),
         }
     }
 
-    fn wait(&self) {
+    /// Waits for every worker to arrive. Returns `false` if the barrier
+    /// was aborted, in which case the caller must stop.
+    fn wait(&self) -> bool {
         if self.n == 1 {
-            return;
+            return true;
         }
         let generation = self.generation.load(Ordering::Acquire);
         if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
@@ -613,6 +554,9 @@ impl SpinBarrier {
         } else {
             let mut spins = 0u32;
             while self.generation.load(Ordering::Acquire) == generation {
+                if self.aborted.load(Ordering::Acquire) {
+                    return false;
+                }
                 spins += 1;
                 if spins < 128 {
                     std::hint::spin_loop();
@@ -623,6 +567,12 @@ impl SpinBarrier {
                 }
             }
         }
+        true
+    }
+
+    /// Releases every current and future waiter with `false`.
+    fn abort(&self) {
+        self.aborted.store(true, Ordering::Release);
     }
 }
 
@@ -653,16 +603,26 @@ impl RoundBuf {
     }
 }
 
+/// Cross-shard mailboxes of one round parity: `nshards * nshards` slots,
+/// indexed `src * nshards + dst`.
+type Mailboxes<M> = Vec<Mutex<Vec<RemoteEvent<M>>>>;
+
 /// Shared synchronization state for one parallel run.
 struct SyncState<'a, M> {
     barrier: SpinBarrier,
     bufs: &'a [RoundBuf; 2],
     stop: AtomicBool,
-    /// `nshards * nshards` mailbox slots, indexed `src * nshards + dst`.
-    mail: &'a [Mutex<Vec<RemoteEvent<M>>>],
+    /// Mailboxes by round parity: round `p` drains `mail[p]` and flushes
+    /// into `mail[p^1]`, so a shard only ever receives what its peers
+    /// flushed in the previous round — never a peer's flush from the round
+    /// it is still running, which would make the published ETA floors
+    /// (and the window counters) depend on thread timing.
+    mail: &'a [Mailboxes<M>; 2],
     rounds: AtomicU64,
     /// When recording, every executed window's `(start, end)`.
     window_log: Option<&'a Mutex<Vec<(u64, u64)>>>,
+    /// The first worker panic: the shard it hit and its payload.
+    panic: Mutex<Option<(usize, Box<dyn Any + Send>)>>,
 }
 
 /// Per-run constants every worker computes windows from.
@@ -672,33 +632,60 @@ struct RunCfg<'a> {
     lookahead: u64,
     /// Maximum window length in ns (`stride_cap * lookahead`, saturated).
     cap: u64,
-    adaptive: bool,
     shard_of: &'a [u32],
     tables: &'a PlanTables,
 }
 
-/// The single-barrier window loop one worker thread runs over its chunk
-/// of shards. Per round: compute `[T, E)` from the values published
-/// before the last barrier, drain mail, run the window, flush outboxes,
-/// publish next round's values into the other parity buffer, barrier.
-fn worker_loop<M: 'static>(
+/// Runs [`worker_loop`] for one worker, turning a panic into an aborted
+/// barrier (so the peers stop instead of waiting forever) plus a record
+/// of the shard that panicked, which the caller re-raises.
+fn run_worker<M: 'static>(
     shards: &mut [Shard<M>],
     base: usize,
     cfg: &RunCfg<'_>,
     sync: &SyncState<'_, M>,
 ) {
+    let current = Cell::new(base);
+    let result = panic::catch_unwind(AssertUnwindSafe(|| {
+        worker_loop(shards, base, cfg, sync, &current)
+    }));
+    if let Err(payload) = result {
+        sync.barrier.abort();
+        let mut first = sync.panic.lock().unwrap_or_else(PoisonError::into_inner);
+        first.get_or_insert((current.get(), payload));
+    }
+}
+
+/// The single-barrier window loop one worker thread runs over its chunk
+/// of shards. Per round: compute `[T, E)` from the values published
+/// before the last barrier, drain last round's mail, run the window,
+/// flush outboxes into the other parity's mailboxes, publish next round's
+/// values into the other parity buffer, barrier. `current` tracks the
+/// shard being worked on, for panic reports.
+fn worker_loop<M: 'static>(
+    shards: &mut [Shard<M>],
+    base: usize,
+    cfg: &RunCfg<'_>,
+    sync: &SyncState<'_, M>,
+    current: &Cell<usize>,
+) {
     // Entry: deliver mail left in flight by a previous `run_until` call
-    // (its last window may have flushed events it never got to drain),
-    // then publish the initial state into the parity-0 buffer.
+    // (its last window flushed events nobody drained, into either
+    // parity), then publish the initial state into the parity-0 buffer.
     for (i, shard) in shards.iter_mut().enumerate() {
         let s = base + i;
-        shard.drain_mail(s, cfg.nshards, sync.mail, cfg.tables);
+        current.set(s);
+        for mail in sync.mail {
+            shard.drain_mail(s, cfg.nshards, mail, cfg.tables);
+        }
         sync.bufs[0].next_at[s].store(shard.queue.next_at().unwrap_or(u64::MAX), Ordering::Release);
         sync.bufs[0].out_next[s].store(u64::MAX, Ordering::Release);
         sync.bufs[0].eta[s].store(shard.eta_floor(&cfg.tables.class_excess), Ordering::Release);
         sync.bufs[0].out_eta[s].store(u64::MAX, Ordering::Release);
     }
-    sync.barrier.wait();
+    if !sync.barrier.wait() {
+        return;
+    }
     let mut parity = 0usize;
     let mut prev_end: Option<u64> = None;
     loop {
@@ -719,16 +706,13 @@ fn worker_loop<M: 'static>(
             break;
         }
         let floor = window_start.saturating_add(cfg.lookahead);
-        let window_end = if cfg.adaptive {
-            // `eta >= floor` for sound tables (excess >= lookahead and
-            // every pending event is at or after `window_start`); the max
-            // is a defensive clamp, never a correctness requirement.
-            eta.max(floor)
-        } else {
-            floor
-        }
-        .min(window_start.saturating_add(cfg.cap))
-        .min(cfg.horizon_excl);
+        // `eta >= floor` for sound tables (excess >= lookahead and every
+        // pending event is at or after `window_start`); the max is a
+        // defensive clamp, never a correctness requirement.
+        let window_end = eta
+            .max(floor)
+            .min(window_start.saturating_add(cfg.cap))
+            .min(cfg.horizon_excl);
         let extended = window_end > floor.min(cfg.horizon_excl);
         let fast_forwarded = prev_end.is_some_and(|end| window_start > end);
         prev_end = Some(window_end);
@@ -744,7 +728,8 @@ fn worker_loop<M: 'static>(
         let mut stopped = false;
         for (i, shard) in shards.iter_mut().enumerate() {
             let s = base + i;
-            shard.drain_mail(s, cfg.nshards, sync.mail, cfg.tables);
+            current.set(s);
+            shard.drain_mail(s, cfg.nshards, &sync.mail[parity], cfg.tables);
             shard.run_window(
                 s as u32,
                 window_end - 1,
@@ -752,7 +737,7 @@ fn worker_loop<M: 'static>(
                 cfg.shard_of,
                 cfg.tables,
             );
-            shard.flush_outboxes(s, cfg.nshards, sync.mail);
+            shard.flush_outboxes(s, cfg.nshards, &sync.mail[parity ^ 1]);
             let (out_at, out_eta) = shard.take_out_mins();
             nxt.next_at[s].store(shard.queue.next_at().unwrap_or(u64::MAX), Ordering::Release);
             nxt.out_next[s].store(out_at, Ordering::Release);
@@ -766,8 +751,21 @@ fn worker_loop<M: 'static>(
         if stopped {
             sync.stop.store(true, Ordering::Release);
         }
-        sync.barrier.wait();
+        if !sync.barrier.wait() {
+            return;
+        }
         parity ^= 1;
+    }
+}
+
+/// The message of a panic payload (`panic!` with a literal or a format).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "non-string panic payload"
     }
 }
 
@@ -775,10 +773,13 @@ fn worker_loop<M: 'static>(
 /// component-access surface, executing one simulation across shards.
 ///
 /// Build the simulation in a plain [`Engine`], then convert with
-/// [`ShardedEngine::from_engine`]; convert back with
-/// [`ShardedEngine::into_engine`]. Unsupported in sharded mode (assert or
+/// [`ShardedEngine::from_engine`]. Unsupported in sharded mode (assert or
 /// documented): observers, tie-break salts, and the legacy engine-global
 /// RNG stream.
+///
+/// A panic inside any shard stops the whole run: the other workers leave
+/// their barrier, and the caller gets a panic naming the shard, its
+/// simulated time and the original message.
 pub struct ShardedEngine<M> {
     shards: Vec<Shard<M>>,
     shard_of: Vec<u32>,
@@ -787,8 +788,6 @@ pub struct ShardedEngine<M> {
     policy: WindowPolicy,
     now: SimTime,
     seed: u64,
-    /// The build-phase global stream, preserved for `into_engine`.
-    build_rng: SimRng,
     boot_seq: u64,
     base_processed: u64,
     stopped: bool,
@@ -796,7 +795,7 @@ pub struct ShardedEngine<M> {
     worker_cap: Option<usize>,
     /// Persistent mailbox + published-value buffers so repeated runs
     /// reuse warm capacity instead of reallocating.
-    mail: Vec<Mutex<Vec<RemoteEvent<M>>>>,
+    mail: [Mailboxes<M>; 2],
     bufs: [RoundBuf; 2],
     /// `Some` while window recording is on; every executed multi-shard
     /// window's `(start, end)` in order.
@@ -805,7 +804,7 @@ pub struct ShardedEngine<M> {
 
 impl<M: Send + 'static> ShardedEngine<M> {
     /// Partitions `engine` under `plan`. The window policy defaults to
-    /// [`WindowPolicy::from_env`].
+    /// [`WindowPolicy::adaptive`].
     ///
     /// # Panics
     ///
@@ -854,62 +853,22 @@ impl<M: Send + 'static> ShardedEngine<M> {
             shard_of: plan.shard_of,
             lookahead: plan.lookahead,
             tables,
-            policy: WindowPolicy::from_env(),
+            policy: WindowPolicy::adaptive(),
             now: parts.now,
             seed: parts.seed,
-            build_rng: parts.rng,
             boot_seq,
             base_processed: parts.events_processed,
             stopped: parts.stopped,
             rounds: 0,
             worker_cap: None,
-            mail: (0..nshards * nshards)
-                .map(|_| Mutex::new(Vec::new()))
-                .collect(),
+            mail: [0, 1].map(|_| {
+                (0..nshards * nshards)
+                    .map(|_| Mutex::new(Vec::new()))
+                    .collect()
+            }),
             bufs: [RoundBuf::new(nshards), RoundBuf::new(nshards)],
             window_log: None,
         }
-    }
-
-    /// Merges the shards back into a sequential [`Engine`]. Pending
-    /// events are re-keyed FIFO in global `(time, key)` order, so the
-    /// merged engine pops them exactly as the shards would have.
-    pub fn into_engine(mut self) -> Engine<M> {
-        let events_processed = self.events_processed();
-        // Undelivered cross-shard mail is still pending work.
-        let nshards = self.shards.len();
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            shard.drain_mail(s, nshards, &self.mail, &self.tables);
-        }
-        let mut pending: Vec<(u64, u64, ComponentId, EventKind<M>)> = Vec::new();
-        let mut components: Vec<Option<Box<dyn Component<M>>>> =
-            (0..self.shard_of.len()).map(|_| None).collect();
-        for shard in &mut self.shards {
-            while let Some(ev) = shard.queue.pop_due(u64::MAX) {
-                let (dest, kind) = ev.value;
-                pending.push((ev.at, ev.seq, dest, kind));
-            }
-            for (i, slot) in shard.components.iter_mut().enumerate() {
-                if let Some(component) = slot.take() {
-                    components[i] = Some(component);
-                }
-            }
-        }
-        pending.sort_by_key(|&(at, key, ..)| (at, key));
-        Engine::from_parts(EngineParts {
-            now: self.now,
-            seed: self.seed,
-            rng: self.build_rng,
-            components,
-            pending: pending
-                .into_iter()
-                .map(|(at, _, dest, kind)| (at, dest, kind))
-                .collect(),
-            events_processed,
-            stopped: self.stopped,
-            observer: None,
-            tie_break_salt: 0,
-        })
     }
 
     /// Number of shards.
@@ -948,17 +907,11 @@ impl<M: Send + 'static> ShardedEngine<M> {
         self.rounds
     }
 
-    /// The window policy in force.
-    pub fn window_policy(&self) -> WindowPolicy {
-        self.policy
-    }
-
-    /// Overrides the window policy (fixed vs adaptive, stride cap).
-    /// Event order — and therefore every fingerprint — is policy-
-    /// independent; only window counts and wall-clock change.
+    /// Overrides the window policy (the stride cap). Event order — and
+    /// therefore every fingerprint — is policy-independent; only window
+    /// counts and wall-clock change.
     pub fn set_window_policy(&mut self, policy: WindowPolicy) {
         self.policy = WindowPolicy {
-            adaptive: policy.adaptive,
             stride_cap: policy.stride_cap.max(1),
         };
     }
@@ -994,14 +947,6 @@ impl<M: Send + 'static> ShardedEngine<M> {
     /// Whether a component stopped the simulation.
     pub fn is_stopped(&self) -> bool {
         self.stopped
-    }
-
-    /// Clears the stop flag so the engine can be resumed.
-    pub fn clear_stop(&mut self) {
-        self.stopped = false;
-        for shard in &mut self.shards {
-            shard.stopped = false;
-        }
     }
 
     /// Caps the number of worker threads (default: `min(shards, cores)`).
@@ -1128,7 +1073,6 @@ impl<M: Send + 'static> ShardedEngine<M> {
             horizon_excl: horizon.as_nanos().saturating_add(1),
             lookahead,
             cap: lookahead.saturating_mul(self.policy.stride_cap.max(1) as u64),
-            adaptive: self.policy.adaptive,
             shard_of: &self.shard_of,
             tables: &self.tables,
         };
@@ -1140,9 +1084,10 @@ impl<M: Send + 'static> ShardedEngine<M> {
             mail: &self.mail,
             rounds: AtomicU64::new(0),
             window_log: log.as_ref(),
+            panic: Mutex::new(None),
         };
         if nworkers == 1 {
-            worker_loop(&mut self.shards, 0, &cfg, &sync);
+            run_worker(&mut self.shards, 0, &cfg, &sync);
         } else {
             let (sync, cfg) = (&sync, &cfg);
             std::thread::scope(|scope| {
@@ -1152,10 +1097,21 @@ impl<M: Send + 'static> ShardedEngine<M> {
                     let count = (nshards - base) / (nworkers - worker);
                     let (chunk, tail) = rest.split_at_mut(count);
                     rest = tail;
-                    scope.spawn(move || worker_loop(chunk, base, cfg, sync));
+                    scope.spawn(move || run_worker(chunk, base, cfg, sync));
                     base += count;
                 }
             });
+        }
+        if let Some((shard, payload)) = sync
+            .panic
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+        {
+            panic!(
+                "sharded run aborted: shard {shard} panicked at {} ns: {}",
+                self.shards[shard].last_at,
+                panic_message(&*payload)
+            );
         }
         self.rounds += sync.rounds.into_inner();
         if let Some(log) = log {
@@ -1321,25 +1277,6 @@ mod tests {
     }
 
     #[test]
-    fn into_engine_round_trips_components_and_pending_events() {
-        const PAIRS: usize = 3;
-        let mut sharded = ShardedEngine::from_engine(build(5, PAIRS, 100), split_plan(PAIRS, 3));
-        sharded.run_until(SimTime::from_nanos(20_000));
-        let processed = sharded.events_processed();
-        let mut engine = sharded.into_engine();
-        assert_eq!(engine.events_processed(), processed);
-        assert!(engine.pending_events() > 0, "mid-run events survive");
-        engine.run_to_idle();
-        // All volleys complete: every pinger exhausted its budget.
-        for i in 0..2 * PAIRS {
-            let p = engine
-                .component::<Pinger>(ComponentId::from_raw(i))
-                .unwrap();
-            assert_eq!(p.remaining, 0);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "lookahead violation")]
     fn undersized_lookahead_is_caught_at_send_time() {
         const PAIRS: usize = 2;
@@ -1435,10 +1372,7 @@ mod tests {
         const PAIRS: usize = 5;
         let plan = colocated_plan(PAIRS, 4).with_cut_excess(vec![SimDuration::MAX; 2 * PAIRS]);
         let mut e = ShardedEngine::from_engine(build(17, PAIRS, 300), plan);
-        e.set_window_policy(WindowPolicy {
-            adaptive: true,
-            stride_cap: 8,
-        });
+        e.set_window_policy(WindowPolicy { stride_cap: 8 });
         e.record_windows(true);
         e.run_to_idle();
         let log = e.window_log();
@@ -1459,23 +1393,93 @@ mod tests {
         }
     }
 
-    /// A component that violates its declared send pacing trips the
-    /// engine's soundness assert.
-    #[test]
-    #[should_panic(expected = "send-pacing violation")]
-    fn pacing_violation_is_caught_at_send_time() {
-        const PAIRS: usize = 2;
-        // Pingers reply after 200..1000 ns but declare a 5 us floor.
-        let plan = colocated_plan(PAIRS, 2)
-            .with_min_send_delay(vec![SimDuration::from_micros(5); 2 * PAIRS]);
-        let mut e = ShardedEngine::from_engine(build(19, PAIRS, 50), plan);
-        e.run_to_idle();
-    }
-
     /// An excess table below the lookahead is rejected at plan build.
     #[test]
     #[should_panic(expected = "cut excess below the plan lookahead")]
     fn undersized_excess_is_rejected() {
         let _ = colocated_plan(2, 2).with_cut_excess(vec![SimDuration::from_nanos(1); 4]);
+    }
+
+    /// Split pairs (cut members, lookahead excess) next to colocated pairs
+    /// that never reach a cut (`MAX` excess), spread over 4 shards: windows
+    /// both stretch and fall back to one lookahead.
+    fn split_and_colocated_run(workers: usize) -> (u64, Vec<ShardSyncStats>) {
+        const SPLIT: usize = 3;
+        const COLO: usize = 3;
+        let mut shard_of = Vec::new();
+        let mut excess = Vec::new();
+        for p in 0..SPLIT as u32 {
+            shard_of.extend([p % 4, (p + 1) % 4]);
+            excess.extend([SimDuration::from_nanos(200); 2]);
+        }
+        for p in 0..COLO as u32 {
+            shard_of.extend([(p + 2) % 4; 2]);
+            excess.extend([SimDuration::MAX; 2]);
+        }
+        let plan =
+            ShardPlan::new(4, shard_of, SimDuration::from_nanos(200)).with_cut_excess(excess);
+        let mut e = ShardedEngine::from_engine(build(29, SPLIT + COLO, 300), plan);
+        e.set_worker_threads(workers);
+        e.run_to_idle();
+        (e.rounds(), e.sync_stats())
+    }
+
+    /// Every sync counter is a pure function of (seed, plan, policy): a
+    /// shard never drains mail flushed in the round it is still running,
+    /// so thread timing cannot lower a published ETA floor.
+    #[test]
+    fn sync_counters_do_not_depend_on_worker_threads() {
+        let reference = split_and_colocated_run(1);
+        assert!(
+            reference
+                .1
+                .iter()
+                .all(|s| s.window_extensions > 0 && s.cut_events > 0),
+            "the plan should both stretch windows and cross shards: {reference:?}"
+        );
+        for workers in [2, 4] {
+            assert_eq!(
+                split_and_colocated_run(workers),
+                reference,
+                "{workers} workers"
+            );
+        }
+        for rerun in 0..5 {
+            assert_eq!(
+                split_and_colocated_run(2),
+                reference,
+                "rerun {rerun} at 2 workers"
+            );
+        }
+    }
+
+    /// A panic on one shard stops the run at any worker count, even while
+    /// the other shard has plenty of work and would otherwise wait at the
+    /// barrier forever.
+    #[test]
+    fn one_sided_worker_panic_stops_the_run() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        for workers in [1usize, 2, 4] {
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                // Pair 0 is split and claims 100 us of lookahead for sub-
+                // microsecond replies; pair 1 is a busy colocated pair.
+                let plan = ShardPlan::new(2, vec![0, 1, 1, 1], SimDuration::from_micros(100));
+                let mut e = ShardedEngine::from_engine(build(31, 2, 20_000), plan);
+                e.set_worker_threads(workers);
+                let outcome = panic::catch_unwind(AssertUnwindSafe(|| e.run_to_idle()));
+                let _ = tx.send(outcome.map_err(|p| panic_message(&*p).to_string()));
+            });
+            let outcome = rx
+                .recv_timeout(Duration::from_secs(20))
+                .unwrap_or_else(|_| panic!("run hung after a worker panic at {workers} workers"));
+            let message = outcome.expect_err("the under-claimed lookahead must panic");
+            assert!(
+                message.contains("lookahead violation") && message.contains("shard 0"),
+                "{workers} workers: {message}"
+            );
+        }
     }
 }

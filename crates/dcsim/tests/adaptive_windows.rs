@@ -1,9 +1,9 @@
 //! Property-based tests of the adaptive conservative window machinery:
 //! window ends never violate the lookahead lower bound or the stride
 //! cap, fast-forwarded window starts always land on the straight-line
-//! global minimum next-event time (validated against an unsharded
+//! global minimum next-event time (validated against a single-shard
 //! reference run), and fingerprints are byte-identical across window
-//! policies and shard counts on randomized paced workloads.
+//! policies and shard counts on randomized ping-pong workloads.
 
 use std::collections::BTreeSet;
 
@@ -13,8 +13,8 @@ use dcsim::{
 };
 use proptest::prelude::*;
 
-/// Ping-pong component with a declared minimum reply delay: replies to
-/// its peer after `floor + jitter` drawn from its private stream.
+/// Ping-pong component with a minimum reply delay: replies to its peer
+/// after `floor + jitter` drawn from its private stream.
 struct PacedPinger {
     peer: ComponentId,
     remaining: u64,
@@ -34,8 +34,8 @@ impl Component<u64> for PacedPinger {
     }
 }
 
-/// `split` pairs exchanging cross-shard traffic with a `floor` pacing
-/// promise, plus `colo` colocated pairs whose events can never reach a
+/// `split` pairs exchanging cross-shard traffic at least `floor` apart,
+/// plus `colo` colocated pairs whose events can never reach a
 /// cut. First all split components (even/odd = the two sides), then the
 /// colocated ones.
 fn build(
@@ -66,7 +66,7 @@ fn build(
 }
 
 /// Split pairs straddle shards 0/1..; colocated pairs round-robin. The
-/// pacing floor is the honest cross-shard minimum, so it is the
+/// reply floor is the honest cross-shard minimum, so it is the
 /// lookahead; colocated components can never reach a cut (`MAX` excess),
 /// split components are themselves cut members (`floor` excess).
 fn plan(split: usize, colo: usize, shards: u32, floor: u64) -> ShardPlan {
@@ -85,10 +85,7 @@ fn plan(split: usize, colo: usize, shards: u32, floor: u64) -> ShardPlan {
         excess.push(SimDuration::MAX);
         excess.push(SimDuration::MAX);
     }
-    let n = shard_of.len();
-    ShardPlan::new(shards, shard_of, SimDuration::from_nanos(floor))
-        .with_cut_excess(excess)
-        .with_min_send_delay(vec![SimDuration::from_nanos(floor); n])
+    ShardPlan::new(shards, shard_of, SimDuration::from_nanos(floor)).with_cut_excess(excess)
 }
 
 fn fingerprint(engine: &ShardedEngine<u64>, components: usize) -> String {
@@ -122,7 +119,7 @@ proptest! {
     /// Adaptive window ends respect the lookahead lower bound and the
     /// stride cap; every window start is the straight-line global
     /// minimum next-event time (an actual event timestamp from the
-    /// unsharded reference — never earlier, and never later or the
+    /// single-shard reference — never earlier, and never later or the
     /// fingerprints below could not match); and fingerprints are
     /// byte-identical across policies and shard counts.
     #[test]
@@ -152,7 +149,7 @@ proptest! {
                 build(seed, split, colo, volleys, floor, jitter),
                 plan(split, colo, shards, floor),
             );
-            adaptive.set_window_policy(WindowPolicy { adaptive: true, stride_cap: stride });
+            adaptive.set_window_policy(WindowPolicy { stride_cap: stride });
             adaptive.record_windows(true);
             adaptive.run_to_idle();
             prop_assert_eq!(
@@ -193,7 +190,7 @@ proptest! {
     }
 
     /// Fast-forward bookkeeping: starts that jump past the previous
-    /// window's end are exactly the ones counted, and idle-heavy paced
+    /// window's end are exactly the ones counted, and idle-heavy
     /// workloads do fast-forward.
     #[test]
     fn fast_forward_counts_match_the_window_log(
@@ -201,13 +198,13 @@ proptest! {
         volleys in 20u64..80,
         floor in 3_000u64..20_000,
     ) {
-        // Pure split pairs with a large pacing floor and tiny jitter:
+        // Pure split pairs with a large reply floor and tiny jitter:
         // consecutive events are far apart, so most windows fast-forward.
         let mut e = ShardedEngine::from_engine(
             build(seed, 2, 0, volleys, floor, 50),
             plan(2, 0, 4, floor),
         );
-        e.set_window_policy(WindowPolicy { adaptive: true, stride_cap: 4 });
+        e.set_window_policy(WindowPolicy { stride_cap: 4 });
         e.record_windows(true);
         e.run_to_idle();
         let log = e.window_log();

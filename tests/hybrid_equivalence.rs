@@ -1,12 +1,12 @@
 //! Equivalence gate for the FabricBuilder / hybrid-fidelity redesign.
 //!
-//! The builder's all-packet path must be a *perfect* stand-in for the
-//! legacy construction APIs: same seed, same workload, byte-identical
-//! telemetry fingerprint. This is what lets every legacy call site
-//! migrate to `ClusterBuilder` without invalidating any recorded result,
-//! and what pins the hybrid machinery's zero-cost claim — an explicit
-//! all-packet fidelity map must not perturb component ids, RNG draws, or
-//! event order.
+//! The builder's all-packet path must reproduce the construction that
+//! preceded it: same seed, same workload, byte-identical telemetry
+//! fingerprint. The pre-redesign constructors are gone, so their output
+//! is pinned as golden FNV-1a digests of the fingerprint; any recorded
+//! result stays valid as long as these hold. The same gate pins the
+//! hybrid machinery's zero-cost claim — an explicit all-packet fidelity
+//! map must not perturb component ids, RNG draws, or event order.
 
 use catapult::prelude::*;
 
@@ -35,12 +35,26 @@ fn fingerprint(mut cluster: Cluster) -> String {
 
 const SEED: u64 = 0xE9_01;
 
+/// FNV-1a (64-bit) of a fingerprint document.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Digest of the fingerprint both pre-redesign constructors produced for
+/// the 2-pod paper cluster at `SEED`: `Cluster::paper_scale`, and
+/// `Cluster::new` with the paper fabric and shell configurations.
+const PRE_REDESIGN_DIGEST: u64 = 0xa708_21c6_686c_f425;
+
 #[test]
-fn builder_matches_deprecated_paper_scale_byte_for_byte() {
-    #[allow(deprecated)]
-    let legacy = fingerprint(Cluster::paper_scale(SEED, 2));
+fn paper_builder_matches_pre_redesign_digest() {
     let builder = fingerprint(ClusterBuilder::paper(SEED, 2).build());
-    common::assert_identical("builder vs Cluster::paper_scale", &legacy, &builder);
+    assert_eq!(
+        fnv1a(&builder),
+        PRE_REDESIGN_DIGEST,
+        "ClusterBuilder::paper drifted from the pre-redesign construction"
+    );
 }
 
 #[test]
@@ -58,18 +72,18 @@ fn explicit_all_packet_fidelity_map_is_zero_cost() {
 }
 
 #[test]
-fn deprecated_cluster_new_matches_builder() {
-    let fabric_cfg = calib::fabric_config(calib::paper_shape(2));
-    let shell_cfg = calib::shell_config();
-    #[allow(deprecated)]
-    let legacy = fingerprint(Cluster::new(SEED, &fabric_cfg, shell_cfg.clone()));
+fn configured_builder_matches_pre_redesign_digest() {
     let builder = fingerprint(
         ClusterBuilder::new(SEED)
-            .fabric_config(&fabric_cfg)
-            .shell_config(shell_cfg)
+            .fabric_config(&calib::fabric_config(calib::paper_shape(2)))
+            .shell_config(calib::shell_config())
             .build(),
     );
-    common::assert_identical("builder vs Cluster::new", &legacy, &builder);
+    assert_eq!(
+        fnv1a(&builder),
+        PRE_REDESIGN_DIGEST,
+        "ClusterBuilder::new drifted from the pre-redesign construction"
+    );
 }
 
 #[test]

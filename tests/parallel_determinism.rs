@@ -37,33 +37,6 @@ impl Component<Msg> for Volley {
     }
 }
 
-/// Like [`Volley`], but waits `delay` before replying — a paced RPC
-/// handler whose declared send floor lets adaptive windows stretch.
-#[derive(Debug)]
-struct PacedVolley {
-    conn: shell::ltl::SendConnId,
-    shell: ComponentId,
-    remaining: u32,
-    delay: SimDuration,
-}
-
-impl Component<Msg> for PacedVolley {
-    fn on_message(&mut self, msg: Msg, ctx: &mut Context<'_, Msg>) {
-        if msg.downcast::<LtlDeliver>().is_ok() && self.remaining > 0 {
-            self.remaining -= 1;
-            ctx.send_after(
-                self.delay,
-                self.shell,
-                Msg::custom(ShellCmd::LtlSend {
-                    conn: self.conn,
-                    vc: 0,
-                    payload: Bytes::from_static(b"paced-volley"),
-                }),
-            );
-        }
-    }
-}
-
 /// Builds a 2-pod cluster with volleying LTL pairs that cross racks and
 /// pods, runs it on `shards` shards, and returns its full fingerprint.
 fn sharded_fingerprint(shards: u32) -> String {
@@ -131,56 +104,37 @@ fn sharded_fingerprint_with_policy(shards: u32, policy: Option<WindowPolicy>) ->
     )
 }
 
-/// A bursty variant: paced drivers (2 us declared reply floor) whose
-/// idle troughs let adaptive windows stretch and fast-forward. Returns
-/// the fingerprint plus the summed per-shard sync counters.
+/// A bursty variant: shells without consumers, fed by bursts of sends
+/// scheduled up front 10 us apart. Between bursts only shell work is
+/// pending, whose cut excess lets adaptive windows stretch and
+/// fast-forward. Returns the fingerprint plus the summed per-shard
+/// extension and fast-forward counters.
 fn bursty_fingerprint(shards: u32, policy: WindowPolicy) -> (String, u64, u64) {
     let mut cluster = ClusterBuilder::paper(777, 2).build();
-    let delay = SimDuration::from_micros(2);
     let pairs = [
         (NodeAddr::new(0, 0, 1), NodeAddr::new(0, 6, 2)),
         (NodeAddr::new(0, 3, 3), NodeAddr::new(1, 4, 4)),
         (NodeAddr::new(1, 1, 5), NodeAddr::new(1, 9, 6)),
     ];
-    let mut kickoffs = Vec::new();
+    let mut senders = Vec::new();
     for &(a, b) in &pairs {
         let a_id = cluster.add_shell(a);
-        let b_id = cluster.add_shell(b);
-        let (a_send, b_send, _, _) = cluster.connect_pair(a, b);
-        let a_drv = cluster.add_paced_component_at(
-            a,
-            PacedVolley {
-                conn: a_send,
-                shell: a_id,
-                remaining: 40,
-                delay,
-            },
-            delay,
-        );
-        let b_drv = cluster.add_paced_component_at(
-            b,
-            PacedVolley {
-                conn: b_send,
-                shell: b_id,
-                remaining: 40,
-                delay,
-            },
-            delay,
-        );
-        cluster.set_consumer(a, a_drv);
-        cluster.set_consumer(b, b_drv);
-        kickoffs.push((a_id, a_send));
+        cluster.add_shell(b);
+        let (a_send, _, _, _) = cluster.connect_pair(a, b);
+        senders.push((a_id, a_send));
     }
-    for (shell, conn) in kickoffs {
-        cluster.engine_mut().schedule(
-            SimTime::ZERO,
-            shell,
-            Msg::custom(ShellCmd::LtlSend {
-                conn,
-                vc: 0,
-                payload: Bytes::from_static(b"kickoff"),
-            }),
-        );
+    for burst in 0..40u64 {
+        for (i, &(shell, conn)) in senders.iter().enumerate() {
+            cluster.engine_mut().schedule(
+                SimTime::from_nanos(burst * 10_000 + 137 * i as u64),
+                shell,
+                Msg::custom(ShellCmd::LtlSend {
+                    conn,
+                    vc: 0,
+                    payload: Bytes::from_static(b"burst"),
+                }),
+            );
+        }
     }
     cluster.shard(shards);
     cluster.set_window_policy(policy);
@@ -233,7 +187,7 @@ fn fingerprint_is_byte_identical_across_window_policies() {
     }
 }
 
-/// On the paced bursty workload the adaptive machinery actually engages
+/// On the bursty workload the adaptive machinery actually engages
 /// (windows stretch and fast-forward) without changing a byte of the
 /// fingerprint at any shard count.
 #[test]
@@ -256,11 +210,11 @@ fn bursty_adaptive_windows_extend_without_changing_fingerprints() {
         assert_eq!(fixed_ext, 0, "fixed windows must never extend");
         assert!(
             adaptive_ext > 0,
-            "paced bursty workload at {shards} shards never stretched a window"
+            "bursty workload at {shards} shards never stretched a window"
         );
         assert!(
             adaptive_ff > 0,
-            "paced bursty workload at {shards} shards never fast-forwarded"
+            "bursty workload at {shards} shards never fast-forwarded"
         );
     }
 }
